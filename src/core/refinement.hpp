@@ -138,6 +138,16 @@ PSPL_FORCEINLINE_FUNCTION void stream_fence()
 #endif
 }
 
+#if defined(__AVX512F__)
+/// Widen the 8 floats at f to doubles. __builtin_convertvector, as in
+/// simd_widen_lo: _mm512_cvtps_pd passes an undefined pass-through operand
+/// that GCC's -Wmaybe-uninitialized flags inside avx512fintrin.h.
+PSPL_FORCEINLINE_FUNCTION __m512d widen8(const float* PSPL_RESTRICT f)
+{
+    return __builtin_convertvector(_mm256_loadu_ps(f), __m512d);
+}
+#endif
+
 /// dst[j] = x[j]
 PSPL_FORCEINLINE_FUNCTION void scatter_row_copy(double* PSPL_RESTRICT dst,
                                                 const double* PSPL_RESTRICT x,
@@ -178,7 +188,7 @@ PSPL_FORCEINLINE_FUNCTION void scatter_row_widen(double* PSPL_RESTRICT dst,
         dst[j] = static_cast<double>(f[j]);
     }
     for (; j + 8 <= count; j += 8) {
-        _mm512_stream_pd(dst + j, _mm512_cvtps_pd(_mm256_loadu_ps(f + j)));
+        _mm512_stream_pd(dst + j, widen8(f + j));
     }
 #elif defined(__AVX__)
     for (; j < count && (reinterpret_cast<std::uintptr_t>(dst + j) & 31u) != 0;
@@ -209,8 +219,8 @@ scatter_row_sum_widen(double* PSPL_RESTRICT dst,
         dst[j] = static_cast<double>(xf[j]) + static_cast<double>(rf[j]);
     }
     for (; j + 8 <= count; j += 8) {
-        const __m512d vx = _mm512_cvtps_pd(_mm256_loadu_ps(xf + j));
-        const __m512d vr = _mm512_cvtps_pd(_mm256_loadu_ps(rf + j));
+        const __m512d vx = widen8(xf + j);
+        const __m512d vr = widen8(rf + j);
         _mm512_stream_pd(dst + j, _mm512_add_pd(vx, vr));
     }
 #elif defined(__AVX__)
@@ -243,7 +253,7 @@ scatter_row_add_widen(double* PSPL_RESTRICT dst,
     }
     for (; j + 8 <= count; j += 8) {
         const __m512d vx = _mm512_loadu_pd(x + j);
-        const __m512d vr = _mm512_cvtps_pd(_mm256_loadu_ps(rf + j));
+        const __m512d vr = widen8(rf + j);
         _mm512_stream_pd(dst + j, _mm512_add_pd(vx, vr));
     }
 #elif defined(__AVX__)

@@ -86,8 +86,9 @@ PSPL_DEFINE_NATIVE_PACK(int, 16, pack_storage_i32x16)
 } // namespace detail
 
 /// Widest vector register the current translation unit is compiled for, in
-/// bits. Header-inline on purpose: a benchmark TU built with -march=native
-/// sees its own ISA here, independent of how the library objects were built.
+/// bits. Header-inline, so it is the TU's own ISA; the build compiles the
+/// library and every consumer for one ISA (PSPL_NATIVE_ARCH), so the widths
+/// agree across TUs.
 inline constexpr int simd_native_bits =
 #if defined(__AVX512F__)
         512;

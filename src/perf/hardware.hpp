@@ -15,10 +15,9 @@
 namespace pspl::perf {
 
 /// Name of the widest vector ISA *this translation unit* was compiled for.
-/// Header-inline on purpose: a benchmark TU built with -march=native
-/// reports its own ISA even though the library objects target the baseline
-/// architecture (the hot kernels are header templates, so they are
-/// instantiated -- and vectorized -- in the reporting TU itself).
+/// Header-inline on purpose: the hot kernels are header templates,
+/// instantiated -- and vectorized -- in the reporting TU itself. The build
+/// compiles the library for the same ISA (PSPL_NATIVE_ARCH).
 inline const char* compiled_isa_name()
 {
 #if defined(__AVX512F__)
